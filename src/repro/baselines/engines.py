@@ -26,6 +26,7 @@ from repro.cloud.client import CloudClient, FetchRequest
 from repro.core.builder import AirphantBuilder, BuilderConfig, doc_word_pairs
 from repro.core.postings import (
     Posting,
+    PostingArray,
     StringTable,
     decode_postings,
     read_uvarint,
@@ -180,7 +181,7 @@ class Engine(abc.ABC):
         """End-to-end keyword search returning exact matches + stats."""
 
     @abc.abstractmethod
-    def lookup(self, word: str) -> tuple[list[Posting], QueryStats]:
+    def lookup(self, word: str) -> tuple[PostingArray, QueryStats]:
         """Term-index lookup only: obtain the (final) postings list."""
 
     def index_bytes(self) -> int:
@@ -191,21 +192,15 @@ class Engine(abc.ABC):
 
     # shared epilogue for exact-postings baselines
     def _finish_search(
-        self, word: str, postings: list[Posting], k: int | None, lookup_ms: float,
+        self, word: str, postings: PostingArray, k: int | None, lookup_ms: float,
         strings: StringTable,
     ) -> tuple[list[SearchResult], QueryStats]:
         query = Query.word(word)
-        to_fetch = postings[: k] if k is not None else postings
+        to_fetch = (postings[: k] if k is not None else postings).tolist()
         results, n_fp = fetch_documents(self.client, strings.name, to_fetch, query)
-        led = self.client.ledger
-        return results, QueryStats(
-            lookup_ms=lookup_ms,
-            doc_ms=led.elapsed_ms - lookup_ms,
-            total_ms=led.elapsed_ms,
-            wait_ms=led.wait_ms,
-            download_ms=led.download_ms,
-            round_trips=led.round_trips,
-            bytes_fetched=led.bytes_fetched,
+        return results, QueryStats.from_ledger(
+            self.client.ledger,
+            lookup_ms,
             n_candidates=len(postings),
             n_fetched=len(to_fetch),
             n_false_positives=n_fp,
@@ -243,16 +238,7 @@ class AirphantEngine(Engine):
     def lookup(self, word):
         ledger = self.client.begin_query()
         postings = self.searcher.lookup(word)
-        led = ledger
-        return postings, QueryStats(
-            lookup_ms=led.elapsed_ms,
-            total_ms=led.elapsed_ms,
-            wait_ms=led.wait_ms,
-            download_ms=led.download_ms,
-            round_trips=led.round_trips,
-            bytes_fetched=led.bytes_fetched,
-            n_candidates=len(postings),
-        )
+        return postings, QueryStats.from_ledger(ledger, n_candidates=len(postings))
 
 
 class HashTableEngine(AirphantEngine):
@@ -322,10 +308,10 @@ class LuceneLike(Engine):
         self.reader = self._make_reader(self.client)
         self.reader.warm_cache()
 
-    def _lookup_postings(self, word: str) -> list[Posting]:
+    def _lookup_postings(self, word: str) -> PostingArray:
         ptr = self.reader.find(word)
         if ptr is None or ptr.empty:
-            return []
+            return PostingArray.empty()
         raw = self.client.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )
@@ -334,15 +320,7 @@ class LuceneLike(Engine):
     def lookup(self, word):
         led = self.client.begin_query()
         postings = self._lookup_postings(word)
-        return postings, QueryStats(
-            lookup_ms=led.elapsed_ms,
-            total_ms=led.elapsed_ms,
-            wait_ms=led.wait_ms,
-            download_ms=led.download_ms,
-            round_trips=led.round_trips,
-            bytes_fetched=led.bytes_fetched,
-            n_candidates=len(postings),
-        )
+        return postings, QueryStats.from_ledger(led, n_candidates=len(postings))
 
     def search(self, word, k=None):
         led = self.client.begin_query()
@@ -380,10 +358,10 @@ class SQLiteLike(Engine):
         self.reader = bt.BTreeReader(self.client, self.index_name, ints["root"][0])
         self.reader.warm_root()
 
-    def _lookup_postings(self, word: str) -> list[Posting]:
+    def _lookup_postings(self, word: str) -> PostingArray:
         ptr = self.reader.find(word)
         if ptr is None or ptr.empty:
-            return []
+            return PostingArray.empty()
         raw = self.client.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )
@@ -392,15 +370,7 @@ class SQLiteLike(Engine):
     def lookup(self, word):
         led = self.client.begin_query()
         postings = self._lookup_postings(word)
-        return postings, QueryStats(
-            lookup_ms=led.elapsed_ms,
-            total_ms=led.elapsed_ms,
-            wait_ms=led.wait_ms,
-            download_ms=led.download_ms,
-            round_trips=led.round_trips,
-            bytes_fetched=led.bytes_fetched,
-            n_candidates=len(postings),
-        )
+        return postings, QueryStats.from_ledger(led, n_candidates=len(postings))
 
     def search(self, word, k=None):
         led = self.client.begin_query()
@@ -489,11 +459,11 @@ class ElasticLike(LuceneLike):
         # skip-list warm cache is reloaded per query via chunks instead.
         self.reader.cache_levels = 0
 
-    def _lookup_postings(self, word: str) -> list[Posting]:
+    def _lookup_postings(self, word: str) -> PostingArray:
         self.fetcher.reset()  # cold block cache each query
         ptr = self.reader.find(word)
         if ptr is None or ptr.empty:
-            return []
+            return PostingArray.empty()
         raw = self.fetcher.fetch(
             block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
         )

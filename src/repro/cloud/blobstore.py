@@ -27,25 +27,41 @@ class BlobStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # Resolved once, so a name check walks only the name's components.
+        self._root = os.path.realpath(self.root)
+        self._root_prefix = os.path.join(self._root, "")
 
-    def _path(self, name: str) -> Path:
-        p = (self.root / name).resolve()
-        if not p.is_relative_to(self.root.resolve()):
+    def _path(self, name: str) -> str:
+        """Path of blob ``name`` below the store root; raises ``ValueError``
+        when ``..``, an absolute name or a symlink would lead outside it."""
+        p = os.path.normpath(os.path.join(self._root, name))
+        if not p.startswith(self._root_prefix):
             raise ValueError(f"blob name escapes store root: {name!r}")
+        # Lexically inside; a symlink below the root may still lead out.
+        q = p
+        while q != self._root:
+            if os.path.islink(q):
+                p = os.path.realpath(p)
+                if not p.startswith(self._root_prefix):
+                    raise ValueError(f"blob name escapes store root: {name!r}")
+                break
+            q = os.path.dirname(q)
         return p
 
     def put(self, name: str, data: bytes) -> None:
         """Write ``data`` as blob ``name`` (atomic replace)."""
         p = self._path(name)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_suffix(p.suffix + ".tmp")
-        tmp.write_bytes(data)
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+        tmp = p + ".tmp"
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, p)
 
     def get(self, name: str) -> bytes:
         """Read the whole blob."""
         try:
-            return self._path(name).read_bytes()
+            with open(self._path(name), "rb") as f:
+                return f.read()
         except FileNotFoundError:
             raise KeyError(name) from None
 
@@ -75,16 +91,16 @@ class BlobStore:
     def size(self, name: str) -> int:
         """Byte size of a blob."""
         try:
-            return self._path(name).stat().st_size
+            return os.stat(self._path(name)).st_size
         except FileNotFoundError:
             raise KeyError(name) from None
 
     def exists(self, name: str) -> bool:
-        return self._path(name).is_file()
+        return os.path.isfile(self._path(name))
 
     def delete(self, name: str) -> None:
         try:
-            self._path(name).unlink()
+            os.unlink(self._path(name))
         except FileNotFoundError:
             raise KeyError(name) from None
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.cloud.client import CloudClient, FetchRequest
+from repro.cloud.client import CloudClient, FetchRequest, Ledger
 from repro.core.mht import MultilayerHashTable
-from repro.core.postings import Posting, decode_postings, intersect, union
+from repro.core.postings import Posting, PostingArray, decode_postings, intersect, union
 from repro.core.superpost import BinPointer, block_blob_name, decode_header, header_blob_name
 from repro.core.topk import sample_size
 from repro.corpora.parsers import tokenize
@@ -50,6 +50,28 @@ class QueryStats:
     n_fetched: int = 0  # documents actually fetched (top-K sample)
     n_false_positives: int = 0  # fetched docs filtered out
     n_results: int = 0
+
+    @classmethod
+    def from_ledger(
+        cls, ledger: Ledger, lookup_ms: float | None = None, **counts: int
+    ) -> "QueryStats":
+        """Stats of one query from its client ledger. ``lookup_ms`` is the
+        simulated time at the end of the term lookup (default: the whole
+        query); the rest is charged to document retrieval. ``counts`` sets
+        the ``n_*`` fields."""
+        total = ledger.elapsed_ms
+        if lookup_ms is None:
+            lookup_ms = total
+        return cls(
+            lookup_ms=lookup_ms,
+            doc_ms=total - lookup_ms,
+            total_ms=total,
+            wait_ms=ledger.wait_ms,
+            download_ms=ledger.download_ms,
+            round_trips=ledger.round_trips,
+            bytes_fetched=ledger.bytes_fetched,
+            **counts,
+        )
 
 
 @dataclass
@@ -106,16 +128,8 @@ class AirphantSearcher:
         raw = self.client.fetch(header_blob_name(self.index_name))
         self.header = decode_header(raw)
         self.mht = MultilayerHashTable.from_header(self.header)
-        stats = QueryStats(
-            lookup_ms=ledger.elapsed_ms,
-            total_ms=ledger.elapsed_ms,
-            wait_ms=ledger.wait_ms,
-            download_ms=ledger.download_ms,
-            round_trips=ledger.round_trips,
-            bytes_fetched=ledger.bytes_fetched,
-        )
-        self.init_stats = stats
-        return stats
+        self.init_stats = QueryStats.from_ledger(ledger)
+        return self.init_stats
 
     def _require_open(self) -> MultilayerHashTable:
         if self.mht is None:
@@ -124,10 +138,11 @@ class AirphantSearcher:
 
     # -- term lookup -----------------------------------------------------------
 
-    def lookup(self, query: Query | str, wait_for: int | None = None) -> list[Posting]:
+    def lookup(self, query: Query | str, wait_for: int | None = None) -> PostingArray:
         """Term-index lookup only: one concurrent batch of superpost reads,
         then the boolean combination of per-word intersections. Returns the
-        final (approximate) postings list — superset of the true one.
+        final (approximate) postings list — superset of the true one —
+        sorted.
 
         ``wait_for`` enables replication mode (§IV-G): per word, all L
         pointers are requested but only the ``wait_for`` fastest layers are
@@ -162,7 +177,7 @@ class AirphantSearcher:
             if len(query.words) != 1:
                 raise ValueError("replication wait_for supports single-word queries")
             if not requests:
-                return []
+                return PostingArray.empty()
             if not 1 <= wait_for <= len(requests):
                 raise ValueError("wait_for out of range")
             payloads = self.client.fetch_batch_first_l(requests, wait_for)
@@ -170,10 +185,10 @@ class AirphantSearcher:
             return intersect(lists)
 
         payloads = self.client.fetch_batch(requests)
-        per_word: dict[str, list[Posting]] = {}
+        per_word: dict[str, PostingArray] = {}
         for plan in plans:
             if any(s is None for s in plan.slots):
-                per_word[plan.word] = []
+                per_word[plan.word] = PostingArray.empty()
             else:
                 lists = [decode_postings(payloads[s]) for s in plan.slots]
                 per_word[plan.word] = intersect(lists)
@@ -214,10 +229,13 @@ class AirphantSearcher:
             f0_eff = header.meta.get("expected_fp", header.f0)
             rk = sample_size(k, len(candidates), f0_eff, delta)
             if rk < len(candidates):
+                # Sampling positions picks what sampling the sorted list
+                # would; sorted positions keep the fetch in posting order.
                 rng = random.Random(sample_seed)
-                to_fetch = sorted(rng.sample(candidates, rk))
+                to_fetch = candidates[sorted(rng.sample(range(len(candidates)), rk))]
 
         strings = header.string_table
+        to_fetch = to_fetch.tolist()
         requests = [
             FetchRequest(strings.name(p.blob_id), p.offset, p.length)
             for p in to_fetch
@@ -233,14 +251,9 @@ class AirphantSearcher:
                 )
             else:
                 n_fp += 1
-        stats = QueryStats(
-            lookup_ms=lookup_ms,
-            doc_ms=ledger.elapsed_ms - lookup_ms,
-            total_ms=ledger.elapsed_ms,
-            wait_ms=ledger.wait_ms,
-            download_ms=ledger.download_ms,
-            round_trips=ledger.round_trips,
-            bytes_fetched=ledger.bytes_fetched,
+        stats = QueryStats.from_ledger(
+            ledger,
+            lookup_ms,
             n_candidates=len(candidates),
             n_fetched=len(to_fetch),
             n_false_positives=n_fp,

@@ -1,4 +1,6 @@
 """Unit tests for the local-filesystem blob store substrate."""
+import os
+
 import pytest
 
 from repro.cloud.blobstore import BlobStore
@@ -36,6 +38,29 @@ class TestPutGet:
     def test_path_escape_rejected(self, store):
         with pytest.raises(ValueError):
             store.put("../evil", b"x")
+
+    def test_dotdot_name_rejected(self, store):
+        store.put("idx/a.bin", b"x")
+        with pytest.raises(ValueError):
+            store.get_range("idx/../../evil", 0, 1)
+
+    def test_absolute_name_rejected(self, store, tmp_path_factory):
+        outside = tmp_path_factory.mktemp("outside") / "secret"
+        outside.write_bytes(b"x")
+        with pytest.raises(ValueError):
+            store.get_range(str(outside), 0, 1)
+
+    def test_symlink_out_of_store_rejected(self, store, tmp_path_factory):
+        outside = tmp_path_factory.mktemp("outside")
+        (outside / "secret").write_bytes(b"x")
+        os.symlink(outside, store.root / "link")
+        with pytest.raises(ValueError):
+            store.get_range("link/secret", 0, 1)
+
+    def test_symlink_within_store_allowed(self, store):
+        store.put("idx/a.bin", b"abc")
+        os.symlink(store.root / "idx", store.root / "alias")
+        assert store.get_range("alias/a.bin", 1, 2) == b"bc"
 
     @pytest.mark.parametrize("payload", [b"\x00\xff" * 100, bytes(range(256))])
     def test_binary_safe(self, store, payload):
