@@ -14,32 +14,43 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.baselines import btree as bt
 from repro.baselines import skiplist as sl
 from repro.cloud.blobstore import BlobStore
-from repro.cloud.client import CloudClient, FetchRequest
+from repro.cloud.client import CloudClient
 from repro.core.builder import AirphantBuilder, BuilderConfig, doc_word_pairs
 from repro.core.postings import (
-    Posting,
     PostingArray,
     StringTable,
     decode_postings,
     read_uvarint,
     write_uvarint,
 )
-from repro.core.searcher import AirphantSearcher, Query, QueryStats, SearchResult
-from repro.core.superpost import BinPointer, SuperpostWriter, block_blob_name
-from repro.corpora.parsers import tokenize
+from repro.core.searcher import (
+    AirphantSearcher,
+    Query,
+    QueryStats,
+    SearchResult,
+    retrieve_documents,
+)
+from repro.core.superpost import (
+    BinPointer,
+    SuperpostWriter,
+    block_blob_name,
+    read_str,
+    write_str,
+)
+# Not called here (documents are filtered by ``retrieve_documents``); the
+# benchmark's tracer patches ``tokenize`` on this module too.
+from repro.corpora.parsers import tokenize  # noqa: F401
 
 _NONE_HEAD = (0xFFFFFFFFFFFFFFFF, 0)
 
 
-# -- shared build + retrieval routines ----------------------------------------
+# -- shared build routine + metadata codec --------------------------------------
 
 
 def exact_postings_index(
@@ -83,44 +94,17 @@ def exact_postings_index(
     return terms, strings, n_blocks
 
 
-def fetch_documents(
-    client: CloudClient,
-    name_of,
-    postings: list[Posting],
-    query: Query,
-) -> tuple[list[SearchResult], int]:
-    """Airphant's document-retrieval routine, shared by every engine
-    (§V-A): one concurrent batch of range reads, then exact filtering.
-    Returns (matching documents, #false positives filtered)."""
-    requests = [FetchRequest(name_of(p.blob_id), p.offset, p.length) for p in postings]
-    payloads = client.fetch_batch(requests) if requests else []
-    results: list[SearchResult] = []
-    n_fp = 0
-    for posting, raw in zip(postings, payloads):
-        text = raw.decode("utf-8")
-        if query.matches(set(tokenize(text))):
-            results.append(
-                SearchResult(posting=posting, blob=name_of(posting.blob_id), text=text)
-            )
-        else:
-            n_fp += 1
-    return results, n_fp
-
-
 def _encode_meta(strings: StringTable, ints: dict[str, list[int]]) -> bytes:
-    """Tiny header codec for baseline metadata blobs."""
+    """Baseline metadata blob: the blob names, then named integer lists,
+    written with the header codec's string helpers."""
     out = bytearray()
     names = strings.names()
     write_uvarint(out, len(names))
     for n in names:
-        b = n.encode("utf-8")
-        write_uvarint(out, len(b))
-        out.extend(b)
+        write_str(out, n)
     write_uvarint(out, len(ints))
     for key in sorted(ints):
-        kb = key.encode("utf-8")
-        write_uvarint(out, len(kb))
-        out.extend(kb)
+        write_str(out, key)
         write_uvarint(out, len(ints[key]))
         for v in ints[key]:
             write_uvarint(out, v)
@@ -128,19 +112,15 @@ def _encode_meta(strings: StringTable, ints: dict[str, list[int]]) -> bytes:
 
 
 def _decode_meta(buf: bytes) -> tuple[StringTable, dict[str, list[int]]]:
-    pos = 0
-    n_names, pos = read_uvarint(buf, pos)
+    n_names, pos = read_uvarint(buf, 0)
     names = []
     for _ in range(n_names):
-        ln, pos = read_uvarint(buf, pos)
-        names.append(buf[pos : pos + ln].decode("utf-8"))
-        pos += ln
+        name, pos = read_str(buf, pos)
+        names.append(name)
     n_keys, pos = read_uvarint(buf, pos)
     ints: dict[str, list[int]] = {}
     for _ in range(n_keys):
-        ln, pos = read_uvarint(buf, pos)
-        key = buf[pos : pos + ln].decode("utf-8")
-        pos += ln
+        key, pos = read_str(buf, pos)
         n_vals, pos = read_uvarint(buf, pos)
         vals = []
         for _ in range(n_vals):
@@ -189,23 +169,6 @@ class Engine(abc.ABC):
         if self.index_name is None:
             raise RuntimeError("build() first")
         return self.store.total_bytes(self.index_name + "/")
-
-    # shared epilogue for exact-postings baselines
-    def _finish_search(
-        self, word: str, postings: PostingArray, k: int | None, lookup_ms: float,
-        strings: StringTable,
-    ) -> tuple[list[SearchResult], QueryStats]:
-        query = Query.word(word)
-        to_fetch = (postings[: k] if k is not None else postings).tolist()
-        results, n_fp = fetch_documents(self.client, strings.name, to_fetch, query)
-        return results, QueryStats.from_ledger(
-            self.client.ledger,
-            lookup_ms,
-            n_candidates=len(postings),
-            n_fetched=len(to_fetch),
-            n_false_positives=n_fp,
-            n_results=len(results),
-        )
 
 
 # -- Airphant + HashTable ---------------------------------------------------------
@@ -264,20 +227,59 @@ class HashTableEngine(AirphantEngine):
         )
 
 
-# -- skip list (Lucene) -----------------------------------------------------------
+# -- exact postings: skip list (Lucene), B-tree (SQLite), snapshots (Elastic) ---
 
 
-class LuceneLike(Engine):
+class _ExactPostingsEngine(Engine):
+    """The one lookup and search path of the exact-postings baselines.
+
+    An engine supplies its build, and an ``open`` that sets ``reader`` (a
+    term index whose ``find(word)`` returns the word's postings
+    ``BinPointer`` or None) and ``strings``; it may replace
+    ``_fetch_range``, the read of one postings list. Top-K fetches the
+    first K postings: the lists are exact, so every one is a match.
+    """
+
+    reader = None
+    strings: StringTable | None = None
+
+    def _fetch_range(self, name: str, offset: int, length: int) -> bytes:
+        return self.client.fetch(name, offset, length)
+
+    def _lookup_postings(self, word: str) -> PostingArray:
+        ptr = self.reader.find(word)
+        if ptr is None or ptr.empty:
+            return PostingArray.empty()
+        raw = self._fetch_range(
+            block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
+        )
+        return decode_postings(raw)
+
+    def lookup(self, word):
+        led = self.client.begin_query()
+        postings = self._lookup_postings(word)
+        return postings, QueryStats.from_ledger(led, n_candidates=len(postings))
+
+    def search(self, word, k=None):
+        self.client.begin_query()
+        postings = self._lookup_postings(word)
+        return retrieve_documents(
+            self.client, self.strings, Query.word(word), postings, postings[:k]
+        )
+
+
+class LuceneLike(_ExactPostingsEngine):
     """Skip-list term index: O(log n) sequential dependent reads (§II-B)."""
 
     name = "lucene"
     cache_levels = 2
+    # Bound on this class because the benchmark's tracer wraps
+    # ``LuceneLike.search`` where it is bound.
+    search = _ExactPostingsEngine.search
 
     def __init__(self, spark, store, client, seed: int = 0):
         super().__init__(spark, store, client)
         self.seed = seed
-        self.reader: sl.SkipListReader | None = None
-        self.strings: StringTable | None = None
 
     def build(self, corpus: DataFrame, index_name: str) -> None:
         terms, strings, _ = exact_postings_index(self.spark, self.store, corpus, index_name)
@@ -308,38 +310,11 @@ class LuceneLike(Engine):
         self.reader = self._make_reader(self.client)
         self.reader.warm_cache()
 
-    def _lookup_postings(self, word: str) -> PostingArray:
-        ptr = self.reader.find(word)
-        if ptr is None or ptr.empty:
-            return PostingArray.empty()
-        raw = self.client.fetch(
-            block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
-        )
-        return decode_postings(raw)
 
-    def lookup(self, word):
-        led = self.client.begin_query()
-        postings = self._lookup_postings(word)
-        return postings, QueryStats.from_ledger(led, n_candidates=len(postings))
-
-    def search(self, word, k=None):
-        led = self.client.begin_query()
-        postings = self._lookup_postings(word)
-        return self._finish_search(word, postings, k, led.elapsed_ms, self.strings)
-
-
-# -- B-tree (SQLite) ----------------------------------------------------------------
-
-
-class SQLiteLike(Engine):
+class SQLiteLike(_ExactPostingsEngine):
     """Paged B-tree term index with a cached root (SQLite access pattern)."""
 
     name = "sqlite"
-
-    def __init__(self, spark, store, client):
-        super().__init__(spark, store, client)
-        self.reader: bt.BTreeReader | None = None
-        self.strings: StringTable | None = None
 
     def build(self, corpus: DataFrame, index_name: str) -> None:
         terms, strings, _ = exact_postings_index(self.spark, self.store, corpus, index_name)
@@ -358,52 +333,30 @@ class SQLiteLike(Engine):
         self.reader = bt.BTreeReader(self.client, self.index_name, ints["root"][0])
         self.reader.warm_root()
 
-    def _lookup_postings(self, word: str) -> PostingArray:
-        ptr = self.reader.find(word)
-        if ptr is None or ptr.empty:
-            return PostingArray.empty()
-        raw = self.client.fetch(
-            block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
-        )
-        return decode_postings(raw)
 
-    def lookup(self, word):
-        led = self.client.begin_query()
-        postings = self._lookup_postings(word)
-        return postings, QueryStats.from_ledger(led, n_candidates=len(postings))
-
-    def search(self, word, k=None):
-        led = self.client.begin_query()
-        postings = self._lookup_postings(word)
-        return self._finish_search(word, postings, k, led.elapsed_ms, self.strings)
+#: Searchable-snapshot cache-region size (bytes).
+_CHUNK_SIZE = 2 << 20
+#: Snapshot-repository overhead per region miss: recovery bookkeeping
+#: and cache write-back on the undersized VM — the reason searchable
+#: snapshots "spend much time in mounting" (§V-B0b).
+_MISS_PENALTY_MS = 120.0
 
 
-# -- Elasticsearch over searchable snapshots ----------------------------------------
-
-
-@dataclass
 class _ChunkedFetcher:
     """Searchable-snapshot read model: every byte arrives via fixed-size
-    cache-region chunks, and the block cache is cold per query (the paper
+    cache-region chunks, and the block cache is cold per query — it is
+    dropped whenever the client starts a new query ledger (the paper
     deploys Elasticsearch on a 2 GB e2-small, far smaller than the
     snapshot — regions get evicted between queries). Small indexes fit in
     one chunk (why Elasticsearch is only ~1.09x slower on Cranfield);
     large ones turn every traversal hop into a multi-megabyte download
     (why it is up to 113x slower elsewhere)."""
 
-    client: CloudClient
-    chunk_size: int = 2 << 20
-    #: Snapshot-repository overhead per region miss: recovery bookkeeping
-    #: and cache write-back on the undersized VM — the reason searchable
-    #: snapshots "spend much time in mounting" (§V-B0b).
-    miss_penalty_ms: float = 120.0
-
-    def __post_init__(self):
+    def __init__(self, client: CloudClient):
+        self.client = client
+        self._ledger = client.ledger
         self._cache: dict[tuple[str, int], bytes] = {}
         self._sizes: dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._cache.clear()
 
     def _size(self, name: str) -> int:
         if name not in self._sizes:
@@ -411,23 +364,26 @@ class _ChunkedFetcher:
         return self._sizes[name]
 
     def fetch(self, name: str, offset: int = 0, length: int | None = None) -> bytes:
+        if self.client.ledger is not self._ledger:
+            self._ledger = self.client.ledger
+            self._cache.clear()
         size = self._size(name)
         if length is None:
             offset, length = 0, size
-        first = offset // self.chunk_size
-        last = (offset + length - 1) // self.chunk_size if length else first
+        first = offset // _CHUNK_SIZE
+        last = (offset + length - 1) // _CHUNK_SIZE if length else first
         parts = []
         for cid in range(first, last + 1):
             key = (name, cid)
             if key not in self._cache:
-                start = cid * self.chunk_size
-                self.client.charge(self.miss_penalty_ms)
+                start = cid * _CHUNK_SIZE
+                self.client.charge(_MISS_PENALTY_MS)
                 self._cache[key] = self.client.fetch(
-                    name, start, min(self.chunk_size, size - start)
+                    name, start, min(_CHUNK_SIZE, size - start)
                 )
             parts.append(self._cache[key])
         blob = b"".join(parts)
-        rel = offset - first * self.chunk_size
+        rel = offset - first * _CHUNK_SIZE
         return blob[rel : rel + length]
 
 
@@ -437,37 +393,16 @@ class ElasticLike(LuceneLike):
 
     name = "elasticsearch"
 
-    def __init__(
-        self,
-        spark,
-        store,
-        client,
-        seed: int = 0,
-        chunk_size: int = 2 << 20,
-        miss_penalty_ms: float = 120.0,
-    ):
-        super().__init__(spark, store, client, seed=seed)
-        self.chunk_size = chunk_size
-        self.miss_penalty_ms = miss_penalty_ms
-        self.fetcher: _ChunkedFetcher | None = None
-
     def open(self) -> None:
         self.client.begin_query()
-        self.fetcher = _ChunkedFetcher(self.client, self.chunk_size, self.miss_penalty_ms)
+        self.fetcher = _ChunkedFetcher(self.client)
         self.reader = self._make_reader(self.fetcher)
         # mounting the snapshot warms nothing durable at 2 GB RAM; the
         # skip-list warm cache is reloaded per query via chunks instead.
         self.reader.cache_levels = 0
 
-    def _lookup_postings(self, word: str) -> PostingArray:
-        self.fetcher.reset()  # cold block cache each query
-        ptr = self.reader.find(word)
-        if ptr is None or ptr.empty:
-            return PostingArray.empty()
-        raw = self.fetcher.fetch(
-            block_blob_name(self.index_name, ptr.block_id), ptr.offset, ptr.length
-        )
-        return decode_postings(raw)
+    def _fetch_range(self, name: str, offset: int, length: int) -> bytes:
+        return self.fetcher.fetch(name, offset, length)
 
 
 ENGINE_CLASSES = {

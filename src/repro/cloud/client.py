@@ -243,3 +243,12 @@ class CloudClient:
         led.bytes_fetched += total_bytes
         led.batches += 1
         return [payloads[i] for i in taken]
+
+
+def zero_latency_client(store: BlobStore) -> CloudClient:
+    """A client whose clock never advances — for correctness-only reads
+    (tests, the DataSource scan)."""
+    return CloudClient(
+        store,
+        LatencyModel(first_byte_ms=0.0, stream_mbps=1e12, link_mbps=1e12, jitter_sigma=0.0),
+    )

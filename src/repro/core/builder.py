@@ -160,27 +160,13 @@ def corpus_string_table(corpus: DataFrame) -> StringTable:
     return StringTable(names)
 
 
-def _layer_bins_udf(seeds: tuple[int, ...], bins_per_layer: int):
-    """Vectorized word → [bin_0..bin_{L-1}] UDF, bit-identical to
-    :meth:`HashFamily.bins` (asserted by tests)."""
-    keys = [s.to_bytes(8, "little", signed=False) for s in seeds]
-    bpl = bins_per_layer
+def _layer_bins_udf(family: HashFamily):
+    """Pandas UDF word → [bin_0..bin_{L-1}]: :meth:`HashFamily.bins` on
+    each word, so Builder and Searcher share one word→bin hash."""
 
     @F.pandas_udf(ArrayType(LongType()))
     def layer_bins(words: pd.Series) -> pd.Series:
-        import hashlib
-
-        def f(w: str) -> list[int]:
-            wb = w.encode("utf-8")
-            return [
-                int.from_bytes(
-                    hashlib.blake2b(wb, digest_size=8, key=k).digest(), "little"
-                )
-                % bpl
-                for k in keys
-            ]
-
-        return words.map(f)
+        return words.map(family.bins)
 
     return layer_bins
 
@@ -278,7 +264,7 @@ class AirphantBuilder:
             binned = (
                 rare.select(
                     F.posexplode(
-                        _layer_bins_udf(family.seeds, bins_per_layer)(F.col("word"))
+                        _layer_bins_udf(family)(F.col("word"))
                     ).alias("layer", "bin"),
                     "blob",
                     "offset",

@@ -6,16 +6,15 @@ reconstructs the functions from the header block.
 
 The implementation is keyed BLAKE2b truncated to 64 bits. A cryptographic
 PRF keyed per layer is (far) stronger than pairwise independence and —
-critically for this reproduction — is bit-identical whether evaluated in
-a driver-side Python loop (Searcher) or inside a vectorized pandas UDF on
-Spark executors (Builder). Tests assert the two paths agree.
+critically for this reproduction — is bit-identical whether evaluated on
+the driver (Searcher) or inside the Builder's pandas UDF on Spark
+executors, which maps :meth:`HashFamily.bins` over each word. Tests
+assert the two agree.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-
-import pandas as pd
 
 
 def hash64(word: str, seed: int) -> int:
@@ -60,19 +59,3 @@ class HashFamily:
     def bins(self, word: str) -> list[int]:
         """The word's bin in every layer (length L)."""
         return [hash64(word, s) % self.bins_per_layer for s in self.seeds]
-
-    def bins_vectorized(self, words: pd.Series) -> pd.DataFrame:
-        """Per-layer bins for a Series of words — the pandas-UDF body used
-        by the Spark Builder. Columns are ``bin_0 .. bin_{L-1}``.
-        """
-        out = {}
-        for l, seed in enumerate(self.seeds):
-            key = seed.to_bytes(8, "little", signed=False)
-            out[f"bin_{l}"] = words.map(
-                lambda w, k=key: int.from_bytes(
-                    hashlib.blake2b(w.encode("utf-8"), digest_size=8, key=k).digest(),
-                    "little",
-                )
-                % self.bins_per_layer
-            )
-        return pd.DataFrame(out)

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 from repro.cloud.client import CloudClient, FetchRequest, Ledger
 from repro.core.mht import MultilayerHashTable
-from repro.core.postings import Posting, PostingArray, decode_postings, intersect, union
+from repro.core.postings import (
+    Posting,
+    PostingArray,
+    StringTable,
+    decode_postings,
+    intersect,
+    union,
+)
 from repro.core.superpost import BinPointer, block_blob_name, decode_header, header_blob_name
 from repro.core.topk import sample_size
 from repro.corpora.parsers import tokenize
@@ -107,7 +114,6 @@ class _WordPlan:
     word: str
     pointers: list[BinPointer]
     slots: list[int | None] = field(default_factory=list)  # index into batch
-    exact: bool = False  # common-word pointer → no false positives
 
 
 class AirphantSearcher:
@@ -156,7 +162,7 @@ class AirphantSearcher:
         requests: list[FetchRequest] = []
         for w in query.words:
             ptrs = mht.lookup(w)
-            plan = _WordPlan(word=w, pointers=ptrs, exact=w in mht.common)
+            plan = _WordPlan(word=w, pointers=ptrs)
             if any(p.empty for p in ptrs):
                 # some layer's bin is empty → the word occurs nowhere;
                 # no requests needed for this word at all.
@@ -205,7 +211,6 @@ class AirphantSearcher:
         k: int | None = None,
         delta: float = 1e-6,
         wait_for: int | None = None,
-        sample_seed: int = 0,
     ) -> tuple[list[SearchResult], QueryStats]:
         """End-to-end search: lookup → (top-K sample) → fetch docs → filter.
 
@@ -217,10 +222,8 @@ class AirphantSearcher:
         if isinstance(query, str):
             query = Query.word(query)
         header = self.header
-        ledger = self.client.begin_query()
+        self.client.begin_query()
         candidates = self.lookup(query, wait_for=wait_for)
-        lookup_ms = ledger.elapsed_ms
-        lookup_wait = ledger.wait_ms
 
         to_fetch = candidates
         if k is not None and candidates:
@@ -231,34 +234,43 @@ class AirphantSearcher:
             if rk < len(candidates):
                 # Sampling positions picks what sampling the sorted list
                 # would; sorted positions keep the fetch in posting order.
-                rng = random.Random(sample_seed)
+                rng = random.Random(0)
                 to_fetch = candidates[sorted(rng.sample(range(len(candidates)), rk))]
-
-        strings = header.string_table
-        to_fetch = to_fetch.tolist()
-        requests = [
-            FetchRequest(strings.name(p.blob_id), p.offset, p.length)
-            for p in to_fetch
-        ]
-        payloads = self.client.fetch_batch(requests) if requests else []
-        results: list[SearchResult] = []
-        n_fp = 0
-        for posting, raw in zip(to_fetch, payloads):
-            text = raw.decode("utf-8")
-            if query.matches(set(tokenize(text))):
-                results.append(
-                    SearchResult(posting=posting, blob=strings.name(posting.blob_id), text=text)
-                )
-            else:
-                n_fp += 1
-        stats = QueryStats.from_ledger(
-            ledger,
-            lookup_ms,
-            n_candidates=len(candidates),
-            n_fetched=len(to_fetch),
-            n_false_positives=n_fp,
-            n_results=len(results),
+        return retrieve_documents(
+            self.client, header.string_table, query, candidates, to_fetch
         )
-        # sanity: lookup wait is part of total wait
-        assert stats.wait_ms >= lookup_wait - 1e-9
-        return results, stats
+
+
+def retrieve_documents(
+    client: CloudClient,
+    strings: StringTable,
+    query: Query,
+    candidates: PostingArray,
+    to_fetch: PostingArray,
+) -> tuple[list[SearchResult], QueryStats]:
+    """The document-retrieval routine every engine and the DataSource scan
+    share (§V-A): one concurrent batch of range reads for ``to_fetch`` (a
+    subset of ``candidates``), then exact filtering by content, so no
+    false positive survives. Everything the client's ledger holds before
+    the batch is charged to the term lookup."""
+    lookup_ms = client.ledger.elapsed_ms
+    fetched = to_fetch.tolist()
+    requests = [
+        FetchRequest(strings.name(p.blob_id), p.offset, p.length) for p in fetched
+    ]
+    payloads = client.fetch_batch(requests) if requests else []
+    results: list[SearchResult] = []
+    for posting, raw in zip(fetched, payloads):
+        text = raw.decode("utf-8")
+        if query.matches(set(tokenize(text))):
+            results.append(
+                SearchResult(posting=posting, blob=strings.name(posting.blob_id), text=text)
+            )
+    return results, QueryStats.from_ledger(
+        client.ledger,
+        lookup_ms,
+        n_candidates=len(candidates),
+        n_fetched=len(fetched),
+        n_false_positives=len(fetched) - len(results),
+        n_results=len(results),
+    )

@@ -122,13 +122,15 @@ class IndexHeader:
         return self.pointers[layer * self.bins_per_layer + bin_idx]
 
 
-def _write_str(out: bytearray, s: str) -> None:
+def write_str(out: bytearray, s: str) -> None:
+    """Append ``s`` as a varint byte length and its UTF-8 bytes."""
     b = s.encode("utf-8")
     write_uvarint(out, len(b))
     out.extend(b)
 
 
-def _read_str(buf: bytes, pos: int) -> tuple[str, int]:
+def read_str(buf: bytes, pos: int) -> tuple[str, int]:
+    """Inverse of :func:`write_str`: the string at ``pos`` and the position after it."""
     n, pos = read_uvarint(buf, pos)
     return buf[pos : pos + n].decode("utf-8"), pos + n
 
@@ -161,21 +163,21 @@ def encode_header(h: IndexHeader) -> bytes:
         _write_ptr(out, p)
     write_uvarint(out, len(h.common))
     for word in sorted(h.common):
-        _write_str(out, word)
+        write_str(out, word)
         _write_ptr(out, h.common[word])
     names = h.string_table.names()
     write_uvarint(out, len(names))
     for n in names:
-        _write_str(out, n)
+        write_str(out, n)
     write_uvarint(out, h.n_blocks)
     write_uvarint(out, h.n_docs)
     write_uvarint(out, h.n_terms)
     write_uvarint(out, h.total_words)
-    _write_str(out, repr(h.f0))
+    write_str(out, repr(h.f0))
     write_uvarint(out, len(h.meta))
     for k in sorted(h.meta):
-        _write_str(out, k)
-        _write_str(out, repr(h.meta[k]))
+        write_str(out, k)
+        write_str(out, repr(h.meta[k]))
     return bytes(out)
 
 
@@ -200,24 +202,24 @@ def decode_header(buf: bytes) -> IndexHeader:
     n_common, pos = read_uvarint(buf, pos)
     common = {}
     for _ in range(n_common):
-        w, pos = _read_str(buf, pos)
+        w, pos = read_str(buf, pos)
         p, pos = _read_ptr(buf, pos)
         common[w] = p
     n_names, pos = read_uvarint(buf, pos)
     names = []
     for _ in range(n_names):
-        n, pos = _read_str(buf, pos)
+        n, pos = read_str(buf, pos)
         names.append(n)
     n_blocks, pos = read_uvarint(buf, pos)
     n_docs, pos = read_uvarint(buf, pos)
     n_terms, pos = read_uvarint(buf, pos)
     total_words, pos = read_uvarint(buf, pos)
-    f0_s, pos = _read_str(buf, pos)
+    f0_s, pos = read_str(buf, pos)
     n_meta, pos = read_uvarint(buf, pos)
     meta = {}
     for _ in range(n_meta):
-        k, pos = _read_str(buf, pos)
-        v, pos = _read_str(buf, pos)
+        k, pos = read_str(buf, pos)
+        v, pos = read_str(buf, pos)
         meta[k] = float(v)
     if pos != len(buf):
         raise ValueError(f"trailing bytes after header ({len(buf) - pos})")

@@ -22,9 +22,9 @@ whose (#docs, #terms, words/doc) ratios follow Table II's shape:
   the documented factor while preserving the terms/docs ratio and
   words-per-line of the Loghub originals.
 
-Generation is numpy-on-driver then ``spark.createDataFrame`` — the same
-idiom as ``repro.synth_data`` — which is appropriate for the <= 2e5-doc
-scale here; profiling and index building downstream are fully Spark.
+Generation is numpy-on-driver then ``spark.createDataFrame``, which is
+appropriate for the <= 2e5-doc scale here; profiling and index building
+downstream are fully Spark.
 """
 from __future__ import annotations
 

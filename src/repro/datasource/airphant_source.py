@@ -34,6 +34,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.core.postings import PostingArray, StringTable
+
 SCHEMA = StructType(
     [
         StructField("blob", StringType(), False),
@@ -64,7 +66,8 @@ class _DocPartition(InputPartition):
 
     part_id: int
     root: str
-    spans: list[tuple[str, int, int]]  # (blob, offset, length)
+    strings: StringTable  # blob names of the index
+    postings: PostingArray
     clauses: list[list[str]]
 
 
@@ -96,42 +99,42 @@ class AirphantReader(DataSourceReader):
 
     def partitions(self) -> list[InputPartition]:
         # Imports are local so the class pickles cleanly to executors.
+        # Planning and scanning measure nothing: the latency experiments
+        # go through the engines, not the data source.
         from repro.cloud.blobstore import BlobStore
-        from repro.cloud.client import CloudClient
-        from repro.cloud.latency import LatencyModel
+        from repro.cloud.client import zero_latency_client
         from repro.core.searcher import AirphantSearcher, Query
 
-        store = BlobStore(self.root)
-        # Zero-latency model: planning here measures nothing; the latency
-        # experiments go through the engines, not the data source.
-        client = CloudClient(
-            store, LatencyModel(first_byte_ms=0.0, stream_mbps=1e9, link_mbps=1e9, jitter_sigma=0.0)
-        )
-        searcher = AirphantSearcher(client, self.index)
+        searcher = AirphantSearcher(zero_latency_client(BlobStore(self.root)), self.index)
         searcher.open()
         postings = searcher.lookup(Query(self.clauses))
-        strings = searcher.header.string_table
-        spans = [(strings.name(p.blob_id), p.offset, p.length) for p in postings]
-        n_parts = max(1, min(self.num_partitions, len(spans)) if spans else 1)
-        chunks: list[list[tuple[str, int, int]]] = [[] for _ in range(n_parts)]
-        for i, s in enumerate(spans):
-            chunks[i % n_parts].append(s)
+        n_parts = max(1, min(self.num_partitions, len(postings)))
         return [
-            _DocPartition(part_id=i, root=self.root, spans=chunk, clauses=self.clauses)
-            for i, chunk in enumerate(chunks)
+            _DocPartition(
+                part_id=i,
+                root=self.root,
+                strings=searcher.header.string_table,
+                postings=postings[i::n_parts],
+                clauses=self.clauses,
+            )
+            for i in range(n_parts)
         ]
 
     def read(self, partition: _DocPartition):
         from repro.cloud.blobstore import BlobStore
-        from repro.corpora.parsers import tokenize
+        from repro.cloud.client import zero_latency_client
+        from repro.core.searcher import Query, retrieve_documents
 
-        store = BlobStore(partition.root)
-        for blob, offset, length in partition.spans:
-            raw = store.get_range(blob, offset, length)
-            text = raw.decode("utf-8")
-            tokens = set(tokenize(text))
-            if any(all(w in tokens for w in clause) for clause in partition.clauses):
-                yield (blob, offset, length, text, partition.part_id)
+        chunk = partition.postings
+        results, _ = retrieve_documents(
+            zero_latency_client(BlobStore(partition.root)),
+            partition.strings,
+            Query(partition.clauses),
+            chunk,
+            chunk,
+        )
+        for r in results:
+            yield (r.blob, r.posting.offset, r.posting.length, r.text, partition.part_id)
 
 
 def register(spark) -> None:

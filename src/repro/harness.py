@@ -20,7 +20,7 @@ from pyspark.sql import functions as F
 from repro.baselines.engines import ENGINE_CLASSES, Engine
 from repro.cloud.blobstore import BlobStore
 from repro.cloud.client import CloudClient
-from repro.cloud.latency import REGIONS, LatencyModel
+from repro.cloud.latency import REGIONS
 from repro.core.builder import BuilderConfig, auto_bins, doc_word_pairs
 from repro.core.hashing import hash64
 from repro.corpora import generators as gen
@@ -154,14 +154,6 @@ def make_engine(
     if kind in ("airphant", "hashtable"):
         return cls(spark, store, client, config=config)
     return cls(spark, store, client)
-
-
-def zero_latency_client(store: BlobStore) -> CloudClient:
-    """A client whose clock never advances — for correctness-only tests."""
-    return CloudClient(
-        store,
-        LatencyModel(first_byte_ms=0.0, stream_mbps=1e12, link_mbps=1e12, jitter_sigma=0.0),
-    )
 
 
 def sample_query_words(corpus: DataFrame, n: int, seed: int = 0) -> list[str]:

@@ -5,7 +5,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.cloud.blobstore import BlobStore
+from repro.cloud.client import zero_latency_client
 from repro.core.builder import AirphantBuilder, BuilderConfig
+from repro.core.searcher import AirphantSearcher, Query
 from repro.corpora import generators as gen
 from repro.datasource.airphant_source import parse_query, register
 from repro.oracle import assert_equivalent
@@ -107,6 +109,24 @@ class TestScan:
             """,
             corpus=corpus.df,
         )
+
+    def test_scan_equals_searcher(self, spark, indexed):
+        # The scan and AirphantSearcher.search return the same documents.
+        root, corpus = indexed
+        rows = corpus.df.select("text").take(3)
+        first = rows[0]["text"].split()
+        w1, w2, w3 = first[0], first[-1], rows[2]["text"].split()[0]
+        searcher = AirphantSearcher(zero_latency_client(BlobStore(root)), "dsidx")
+        searcher.open()
+        for text in (w1, f"{w1} {w2}", f"{w1} OR {w3}"):
+            got = {
+                (r["blob"], r["offset"], r["length"])
+                for r in _read(spark, root, text).collect()
+            }
+            results, _ = searcher.search(Query(parse_query(text)))
+            want = {(r.blob, r.posting.offset, r.posting.length) for r in results}
+            assert want
+            assert got == want
 
     def test_absent_word_empty_scan(self, spark, indexed):
         root, _ = indexed

@@ -9,11 +9,14 @@ from repro.baselines.engines import (
     HashTableEngine,
     LuceneLike,
     SQLiteLike,
+    _decode_meta,
+    _encode_meta,
 )
 from repro.cloud.blobstore import BlobStore
 from repro.cloud.client import CloudClient
 from repro.cloud.latency import LatencyModel
 from repro.core.builder import BuilderConfig
+from repro.core.postings import StringTable
 from repro.corpora import generators as gen
 
 CFG = BuilderConfig(bins=150, f0=1.0, seed=3)
@@ -206,3 +209,24 @@ class TestPageCacheEffect:
         luc_ms = sum(luc.search(w, k=10)[1].total_ms for w in words)
         air_ms = sum(air.search(w, k=10)[1].total_ms for w in words)
         assert luc_ms < air_ms
+
+
+class TestMetaCodec:
+    @pytest.mark.parametrize(
+        "names, ints, raw",
+        [
+            (
+                ["a", "é"],
+                {"seed": [3], "heads": [300, 1]},
+                b"\x02\x01a\x02\xc3\xa9\x02\x05heads\x02\xac\x02\x01\x04seed\x01\x03",
+            ),
+            ([], {}, b"\x00\x00"),
+        ],
+    )
+    def test_roundtrip_pins_bytes(self, names, ints, raw):
+        # meta.bin layout: blob names, then named integer lists in key
+        # order — pinned so index sizes and open() costs cannot drift.
+        assert _encode_meta(StringTable(names), ints) == raw
+        strings, got = _decode_meta(raw)
+        assert strings.names() == names
+        assert got == ints

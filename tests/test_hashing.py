@@ -1,9 +1,9 @@
 """Unit tests for the word→bin hash family (builder/searcher parity)."""
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import _layer_bins_udf
 from repro.core.hashing import HashFamily, bin_of, hash64
 
 
@@ -88,11 +88,13 @@ class TestHashFamily:
         with pytest.raises(ValueError):
             HashFamily(seeds=(1,), bins_per_layer=0)
 
-    def test_vectorized_matches_scalar(self):
-        # THE parity invariant: the Spark-side pandas path must agree
-        # bit-for-bit with the Searcher's scalar path.
+    def test_vectorized_matches_scalar(self, spark):
+        # THE parity invariant: the Builder's pandas UDF, run by Spark,
+        # must agree bit-for-bit with the Searcher's scalar path.
         fam = HashFamily.create(4, 997, base_seed=3)
         words = [f"word{i}" for i in range(300)] + ["blk_1", "INFO", "héllo"]
-        vec = fam.bins_vectorized(pd.Series(words))
-        for i, w in enumerate(words):
-            assert fam.bins(w) == [vec[f"bin_{l}"][i] for l in range(4)]
+        df = spark.createDataFrame([(w,) for w in words], "word string")
+        rows = df.select("word", _layer_bins_udf(fam)("word").alias("bins")).collect()
+        assert sorted(r["word"] for r in rows) == sorted(words)
+        for r in rows:
+            assert list(r["bins"]) == fam.bins(r["word"])

@@ -4,11 +4,12 @@ import duckdb
 import pytest
 
 from repro.cloud.blobstore import BlobStore
+from repro.cloud.client import zero_latency_client
 from repro.core.builder import AirphantBuilder, BuilderConfig, profile_corpus
 from repro.core.searcher import AirphantSearcher
 from repro.core.sketch import expected_false_positives, sigma_x
 from repro.corpora import generators as gen
-from repro.harness import sample_query_words, zero_latency_client
+from repro.harness import sample_query_words
 
 
 def _oracle(pdf, word):

@@ -6,20 +6,13 @@ import pandas as pd
 import pytest
 
 from repro.cloud.blobstore import BlobStore
-from repro.cloud.client import CloudClient
+from repro.cloud.client import CloudClient, zero_latency_client
 from repro.cloud.latency import LatencyModel
 from repro.core.builder import AirphantBuilder, BuilderConfig
 from repro.core.searcher import AirphantSearcher, Query
 from repro.corpora import generators as gen
 
 CFG = BuilderConfig(bins=150, f0=1.0, seed=2)
-
-
-def _zero_client(store):
-    return CloudClient(
-        store,
-        LatencyModel(first_byte_ms=0.0, stream_mbps=1e12, link_mbps=1e12, jitter_sigma=0.0),
-    )
 
 
 def _timed_client(store, seed=0):
@@ -57,7 +50,7 @@ def _result_doc_ids(pdf: pd.DataFrame, results) -> set[int]:
 
 
 def _open_searcher(store) -> AirphantSearcher:
-    s = AirphantSearcher(_zero_client(store), "z")
+    s = AirphantSearcher(zero_latency_client(store), "z")
     s.open()
     return s
 
@@ -151,7 +144,7 @@ class TestQueryShape:
 
     def test_search_before_open_rejected(self, built):
         store, _ = built
-        s = AirphantSearcher(_zero_client(store), "z")
+        s = AirphantSearcher(zero_latency_client(store), "z")
         with pytest.raises(RuntimeError):
             s.search("x")
 
@@ -248,7 +241,7 @@ class TestReplication:
         cfg = BuilderConfig(bins=150, n_layers=2, extra_layers=2, seed=1)
         AirphantBuilder(spark, store, cfg).build(corpus.df, "r")
         pdf = corpus.df.toPandas()
-        s = AirphantSearcher(_zero_client(store), "r")
+        s = AirphantSearcher(zero_latency_client(store), "r")
         s.open()
         vocab = sorted({w for t in pdf.text for w in t.split() if w not in s.mht.common})
         for word in vocab[::11]:
